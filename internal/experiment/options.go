@@ -226,6 +226,7 @@ func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
 	// (variant, rep) pairs would be discarded along with the error
 	// anyway, and a failed run should not burn the full budget.
 	aborted := false
+	fed := 0
 enqueue:
 	for v := range variants {
 		for r := 0; r < opts.Reps; r++ {
@@ -237,6 +238,7 @@ enqueue:
 				break enqueue
 			}
 			v, r := v, r
+			fed++
 			pending.Add(1)
 			pool.Do(func() {
 				defer pending.Done()
@@ -278,6 +280,13 @@ enqueue:
 		}
 	}
 	pending.Wait()
+	// Pairs never fed after an early stop count as done too, so
+	// done reaches total exactly once whatever the stop point.
+	if opts.Progress != nil {
+		for ; fed < total; fed++ {
+			opts.Progress(int(done.Add(1)), total)
+		}
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -201,6 +201,14 @@ type Cluster struct {
 	holes   int
 	running []*Request // unordered; compacted lazily
 
+	// bounds[k] bounds from below the Nodes and Estimate of every
+	// request in queue[k*queueBlock : (k+1)*queueBlock]. Submit
+	// lowers them, removal leaves them (a stale minimum is still a
+	// lower bound), and compactQueue rebuilds them because it moves
+	// requests between blocks. passEASY's backfill scan skips blocks
+	// whose bound cannot start.
+	bounds []blockBound
+
 	// queuedWork tracks the pending queue's requested work in
 	// node-seconds (sum of estimate x nodes), maintained incrementally
 	// on submit/start/cancel; published to the grid information
@@ -249,6 +257,17 @@ type Cluster struct {
 	cReservations   *obs.Counter
 	cCompressions   *obs.Counter
 	backfilling     bool
+}
+
+// queueBlock is the number of queue slots summarized by one
+// blockBound.
+const queueBlock = 64
+
+// blockBound is a lower bound on the Nodes and Estimate of the
+// requests in one queueBlock-slot block of Cluster.queue.
+type blockBound struct {
+	nodes int
+	est   float64
 }
 
 // NewCluster creates a cluster attached to sim. It panics on an
@@ -347,6 +366,7 @@ func (c *Cluster) Submit(r *Request) {
 	r.queued = true
 	r.slot = len(c.queue)
 	c.queue = append(c.queue, r)
+	c.lowerBound(r)
 	c.queuedWork += r.Estimate * float64(r.Nodes)
 	c.stats.Submitted++
 	if q := c.QueueLen(); q > c.stats.MaxQueue {
@@ -419,12 +439,28 @@ func (c *Cluster) removeFromQueue(r *Request) {
 	}
 }
 
+// lowerBound folds queued request r into its block's bound. The
+// builtin min keeps a NaN estimate, which disables the block's shadow
+// prune rather than hiding r from it.
+func (c *Cluster) lowerBound(r *Request) {
+	k := r.slot / queueBlock
+	if k == len(c.bounds) {
+		c.bounds = append(c.bounds, blockBound{r.Nodes, r.Estimate})
+		return
+	}
+	b := &c.bounds[k]
+	b.nodes = min(b.nodes, r.Nodes)
+	b.est = min(b.est, r.Estimate)
+}
+
 func (c *Cluster) compactQueue() {
 	w := 0
+	c.bounds = c.bounds[:0]
 	for _, q := range c.queue {
 		if q != nil {
 			c.queue[w] = q
 			q.slot = w
+			c.lowerBound(q)
 			w++
 		}
 	}
@@ -614,6 +650,11 @@ func (c *Cluster) checkInvariants() error {
 	}
 	if c.free < 0 {
 		return fmt.Errorf("sched: %s negative free nodes %d", c.Name, c.free)
+	}
+	for i, r := range c.queue {
+		if b := c.bounds[i/queueBlock]; r != nil && (r.Nodes < b.nodes || r.Estimate < b.est) {
+			return fmt.Errorf("sched: %s slot %d (%d nodes, estimate %v) below its block bound %+v", c.Name, i, r.Nodes, r.Estimate, b)
+		}
 	}
 	return nil
 }

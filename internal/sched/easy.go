@@ -52,19 +52,33 @@ func (c *Cluster) passEASY() {
 	// fits shadowFree. That is two compares per candidate where a
 	// per-candidate FindAnchor/AddBusy walk used to dominate passes on
 	// deep queues; the start set and order are identical.
+	//
+	// The same test applied to a block's bounds (minimum Nodes and
+	// Estimate) skips whole queueBlock-slot blocks in which no request
+	// can start. The bound test must use the start test's exact float
+	// expression, now+est > shadow: addition is monotone, so a block
+	// minimum that crosses implies every member crosses, whereas a
+	// rearranged form (est > shadow-now) rounds differently.
 	prof := c.buildRunningProfile(now)
 	shadow := prof.FindAnchor(now, head.Estimate, head.Nodes)
 	shadowFree := prof.AvailAt(shadow) - head.Nodes
 	c.backfilling = true
-	for j := i + 1; j < len(c.queue) && c.free > 0; j++ {
-		r := c.queue[j]
-		if r == nil || r.State != Pending || r.Nodes > c.free {
+	for j := i + 1; j < len(c.queue) && c.free > 0; {
+		end := min(j-j%queueBlock+queueBlock, len(c.queue))
+		if b := c.bounds[j/queueBlock]; b.nodes > c.free || (b.nodes > shadowFree && now+b.est > shadow) {
+			j = end
 			continue
 		}
-		if crosses := now+r.Estimate > shadow; !crosses || r.Nodes <= shadowFree {
-			c.start(r)
-			if crosses {
-				shadowFree -= r.Nodes
+		for ; j < end && c.free > 0; j++ {
+			r := c.queue[j]
+			if r == nil || r.State != Pending || r.Nodes > c.free {
+				continue
+			}
+			if crosses := now+r.Estimate > shadow; !crosses || r.Nodes <= shadowFree {
+				c.start(r)
+				if crosses {
+					shadowFree -= r.Nodes
+				}
 			}
 		}
 	}
