@@ -4,7 +4,7 @@ GO ?= go
 # (override: make bench BENCH_LABEL=pr3-after).
 BENCH_LABEL ?= dev
 
-.PHONY: build test check bench bench-all fmt results validate overload-smoke overload-smoke-fast
+.PHONY: build test check bench bench-all fmt results validate examples overload-smoke overload-smoke-fast
 
 # Experiments recorded in results_full.txt: the registry minus sec4,
 # whose wall-clock measurements are not deterministic.
@@ -57,6 +57,15 @@ fmt:
 # violations in FINDINGS.md.
 validate:
 	$(GO) run ./cmd/redsim -run validate,trace -q
+
+# examples runs each program under examples/ once, so they are
+# executed and not just compiled; any non-zero exit fails the target.
+# Each finishes in a few seconds.
+examples:
+	@for e in $(wildcard examples/*/); do \
+		echo "$$e"; \
+		$(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 # overload-smoke drives the overload experiment — the real daemon +
 # middleware stack behind the fault proxy, open-loop load, admission

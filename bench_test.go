@@ -204,48 +204,6 @@ func BenchmarkSimulationCore(b *testing.B) {
 	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
 }
 
-// BenchmarkEngineSharded measures the epoch-synchronized sharded
-// engine on a 64-cluster platform with a positive control latency (the
-// regime sharding targets) in sketch mode: records are dropped and a
-// DigestCollector reduces the stream, so memory stays O(1) in job
-// count. Results are bit-identical at every shard count — only where
-// the parallelism lives changes — so the shards=1/2/8 series reads as
-// the intra-run scaling curve of the recording machine: flat when one
-// core serializes the shard goroutines, opening up with GOMAXPROCS.
-func BenchmarkEngineSharded(b *testing.B) {
-	clusters := make([]core.ClusterSpec, 64)
-	for i := range clusters {
-		clusters[i] = core.ClusterSpec{Nodes: 32}
-	}
-	base := core.Config{
-		Clusters: clusters, Alg: sched.EASY, Scheme: core.SchemeR2,
-		RedundantFraction: 1, Routing: core.RouteUniform,
-		Horizon: 1800, EstMode: workload.Exact,
-		TargetLoad: 0.85, MinRuntime: 30, MaxRuntime: 7200,
-		ControlLatency: 60,
-	}
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var jobs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := base
-				cfg.Shards = shards
-				cfg.Seed = uint64(i + 1)
-				dc := metrics.NewDigestCollector(0, nil)
-				cfg.Collector = dc
-				cfg.DropRecords = true
-				if _, err := core.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-				g := dc.Digest()
-				jobs += g.Jobs
-			}
-			b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
-		})
-	}
-}
-
 // BenchmarkEngine measures one simulation run with tracing off and
 // on. The trace=off case is the regression guard for the nil-trace
 // fast path: observability must cost nothing measurable when

@@ -60,13 +60,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		runNames = fs.String("run", "all", "comma-separated experiment names (see -list), or \"all\"")
-		expName  = fs.String("exp", "", "deprecated alias for -run")
 		list     = fs.Bool("list", false, "list the registered experiments and exit")
 		format   = fs.String("format", "table", "output format: table|csv|json")
 		outDir   = fs.String("out", "", "write one file per experiment into this directory instead of stdout")
 		reps     = fs.Int("reps", 10, "replications per data point (the paper uses 50)")
-		workers  = fs.Int("workers", 0, "total CPU budget shared by simulations and shards (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "event shards per simulation: N>1 shards each run, 1 forces the sequential engine, 0 = min(GOMAXPROCS, clusters); results are identical at every setting")
+		workers  = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		horizon  = fs.Float64("horizon", 6*3600, "submission window in seconds")
 		nodes    = fs.Int("nodes", 128, "homogeneous cluster size")
 		load     = fs.Float64("load", 0.45, "calibrated offered load on the reference cluster")
@@ -118,12 +116,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	names := *runNames
-	if *expName != "" {
-		fmt.Fprintln(stderr, "redsim: -exp is deprecated, use -run")
-		names = *expName
-	}
-	specs, err := resolve(names)
+	specs, err := resolve(*runNames)
 	if err != nil {
 		fmt.Fprintf(stderr, "redsim: %v\n", err)
 		fs.Usage()
@@ -150,13 +143,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	opts := experiment.Defaults()
 	opts.Reps = *reps
 	opts.Workers = *workers
-	opts.Shards = *shards
-	if opts.Shards == 0 {
-		// Auto: one shard per available CPU; the engine further caps
-		// each run at its cluster count. Output is shard-count
-		// invariant, so auto never changes results.
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
 	opts.Horizon = *horizon
 	opts.Nodes = *nodes
 	opts.TargetLoad = *load

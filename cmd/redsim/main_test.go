@@ -68,38 +68,6 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenShardFlag proves the -shards flag never changes output:
-// the fixtures were pinned with the sequential engine, and both
-// -shards 1 (forced sequential) and -shards 8 (sharded wherever a
-// config is eligible — the validate shard audit exercises eligible
-// configs directly) must reproduce them byte-for-byte.
-func TestGoldenShardFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiments")
-	}
-	for _, name := range []string{"table1", "fig4", "validate", "routing"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", name+"_quick.json"))
-			if err != nil {
-				t.Fatalf("%v (run TestGoldenJSON with -update first)", err)
-			}
-			for _, shards := range []string{"1", "8"} {
-				var out, errb bytes.Buffer
-				args := append(quickArgs(name), "-shards", shards)
-				if code := run(args, &out, &errb); code != 0 {
-					t.Fatalf("-shards %s: exit %d, stderr:\n%s", shards, code, errb.String())
-				}
-				if !bytes.Equal(out.Bytes(), want) {
-					t.Errorf("-shards %s output differs from the pinned fixture (%d vs %d bytes)",
-						shards, out.Len(), len(want))
-				}
-			}
-		})
-	}
-}
-
 func TestList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
@@ -290,7 +258,7 @@ func TestCacheFlagValidation(t *testing.T) {
 	}
 }
 
-// TestBadOrderingExitsUsage rejects unknown queue orderings.
+// TestBadRoutingExitsUsage rejects unknown routing policies.
 func TestBadRoutingExitsUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "table1", "-routing", "psychic"}, &out, &errb); code != 2 {
@@ -301,6 +269,7 @@ func TestBadRoutingExitsUsage(t *testing.T) {
 	}
 }
 
+// TestBadOrderingExitsUsage rejects unknown queue orderings.
 func TestBadOrderingExitsUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "table1", "-ordering", "lifo"}, &out, &errb); code != 2 {
@@ -308,17 +277,5 @@ func TestBadOrderingExitsUsage(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "unknown ordering") {
 		t.Errorf("stderr missing diagnosis:\n%s", errb.String())
-	}
-}
-
-// TestDeprecatedExpFlag checks -exp still selects experiments (with a
-// deprecation note on stderr).
-func TestDeprecatedExpFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "nope"}, &out, &errb); code != 2 {
-		t.Errorf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "-exp is deprecated") {
-		t.Errorf("stderr missing deprecation note:\n%s", errb.String())
 	}
 }

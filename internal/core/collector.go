@@ -1,7 +1,6 @@
 // Streaming statistics plumbing: the Collector interface lets
-// experiment reductions consume job records as they are finalized
-// instead of retaining []JobRecord, which is what keeps sharded runs
-// O(active jobs) in memory (DropRecords) at 10M-job scale.
+// experiment reductions consume job records as a stream, and
+// DropRecords keeps them from being handed back in Result.Jobs.
 
 package core
 
@@ -9,20 +8,9 @@ package core
 // Observe from a single goroutine, exactly once per completed job
 // (jobs unfinished at a StopAtHorizon truncation are not observed).
 //
-// Ordering contract: jobs with the same Home cluster are always
-// observed in arrival order, but jobs of different clusters may
-// interleave — the sequential engine observes cluster 0's jobs, then
-// cluster 1's, and so on, while the sharded engine with DropRecords
-// interleaves clusters as jobs finalize. A reduction whose output
-// must be invariant across shard counts therefore buckets per
-// rec.Home and merges the buckets in a fixed order at the end; see
-// metrics.DigestCollector for the canonical implementation.
-//
-// The record is only valid for the duration of the call; copy what
-// you keep. When records are streamed rather than retained
-// (DropRecords with Shards > 1), rec.ID is -1: global IDs are
-// assigned in stream order and the lengths of later clusters'
-// streams are not yet known. Every other field is final.
+// Records arrive in Result.Jobs order: cluster 0's jobs in arrival
+// order, then cluster 1's, and so on. The record is only valid for the
+// duration of the call; copy what you keep.
 type Collector interface {
 	Observe(rec *JobRecord)
 }

@@ -40,17 +40,15 @@ type Config struct {
 	// requests (Figure 4); the rest submit only locally. Use 1 to
 	// make every job redundant.
 	RedundantFraction float64
-	// Routing picks remote clusters for redundant copies (the policy
-	// axis formerly named Selection; the legacy names still parse).
+	// Routing picks remote clusters for redundant copies.
 	Routing Routing
 	// Staleness is the publish interval in seconds of the grid
 	// information service read by informed Routing policies: every
 	// cluster publishes a load snapshot each interval, and a snapshot
 	// becomes visible ControlLatency seconds after capture. 0 defaults
 	// the interval to ControlLatency; a negative value forces live
-	// (omniscient) reads — the pre-split SelQueueLen behavior, which
-	// only the sequential engine can execute. Uninformed policies
-	// ignore it.
+	// (omniscient) reads of cluster state. Uninformed policies ignore
+	// it.
 	Staleness float64
 	// Ordering is the queue ordering used by every cluster's
 	// scheduler (FCFS — the paper's model — SJF, or slowdown-aged
@@ -140,26 +138,16 @@ type Config struct {
 	// after a start; a copy that starts before its cancel lands runs
 	// to completion as pure waste (Result.Overruns), and the winner
 	// is the lexicographically least (start time, cluster index)
-	// start. ControlLatency is also the sharded engine's lookahead:
-	// epochs are L wide, so Shards > 1 requires ControlLatency > 0.
+	// start.
 	ControlLatency float64
-	// Shards splits the run into per-cluster event shards executed by
-	// that many goroutines under an epoch-synchronized coordinator
-	// (see DESIGN.md §12). Results are bit-identical at every shard
-	// count — Shards is excluded from the fingerprint — so 0 or 1
-	// selects the sequential engine, and configurations the sharded
-	// engine cannot execute exactly (ControlLatency 0, active fault
-	// plans, informed routing with live zero-staleness reads) silently
-	// fall back to it.
-	Shards int
 	// Collector, when non-nil, receives every completed job's record
 	// as a stream (see Collector), enabling reductions that do not
 	// retain []JobRecord. Runs with a Collector bypass core.Memo.
 	Collector Collector
 	// DropRecords discards job records once observed instead of
-	// retaining Result.Jobs; combined with a Collector and Shards > 1
-	// this keeps memory O(active jobs) instead of O(total jobs).
-	// Runs with DropRecords bypass core.Memo.
+	// retaining Result.Jobs, so a Collector-only reduction hands no
+	// records back to the caller. Runs with DropRecords bypass
+	// core.Memo.
 	DropRecords bool
 }
 
@@ -193,9 +181,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Alg == sched.CBF && cfg.Ordering != sched.OrderFCFS {
 		return fmt.Errorf("core: CBF supports only FCFS ordering (got %v)", cfg.Ordering)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", cfg.Shards)
 	}
 	if err := cfg.Faults.Validate(len(cfg.Clusters)); err != nil {
 		return err
@@ -340,9 +325,8 @@ type gridJob struct {
 // and the two cross-cluster message kinds get dedicated levels, so
 // that the relative order of a message against any local event at
 // the same instant is fixed by (time, priority) alone, never by
-// scheduling order. That property is what lets the sharded engine
-// inject boundary messages at epoch barriers and still replay the
-// sequential engine's event order bit-for-bit (DESIGN.md §12):
+// scheduling order. The levels are part of what fixes the published
+// output bytes:
 //
 //   - deliveries precede same-time cancels, so a cancel always finds
 //     its copy delivered;
@@ -409,14 +393,10 @@ type engine struct {
 }
 
 // Run executes one simulation and returns its result. Runs are
-// deterministic in cfg (including Seed), and — for sharded-eligible
-// configs — identical at every Shards value.
+// deterministic in cfg (including Seed).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if shardable(&cfg) {
-		return runSharded(cfg)
 	}
 	e := &engine{
 		cfg: cfg,
@@ -565,12 +545,6 @@ func (cfg *Config) buildModel(i int, scale float64) (*workload.Model, error) {
 	return model, nil
 }
 
-// streamSeed is the per-cluster generation seed; shared by the
-// sequential and sharded engines so their streams are bit-identical.
-func (cfg *Config) streamSeed(i int) uint64 {
-	return cfg.Seed + uint64(i+1)*0x9E3779B97F4A7C15
-}
-
 // validateStream checks an explicitly supplied job stream for cluster i.
 func validateStream(i int, jobs []workload.Job, nodes int) error {
 	for k, j := range jobs {
@@ -594,9 +568,7 @@ func validateStream(i int, jobs []workload.Job, nodes int) error {
 // clusterJobSlice materializes cluster i's full job stream as a slice:
 // the explicit stream when Streams is set (validated), else the
 // generated stream (through the Workloads cache when present), with
-// MaxJobsPerCluster applied. The sharded engine only uses this for
-// explicit and cached streams; generated streams it consumes lazily
-// via clusterJobSource to stay O(active jobs) in memory.
+// MaxJobsPerCluster applied.
 func (cfg *Config) clusterJobSlice(i int, scale float64) ([]workload.Job, error) {
 	model, err := cfg.buildModel(i, scale)
 	if err != nil {
@@ -612,7 +584,7 @@ func (cfg *Config) clusterJobSlice(i int, scale float64) ([]workload.Job, error)
 			return nil, err
 		}
 	} else {
-		seed := cfg.streamSeed(i)
+		seed := cfg.Seed + uint64(i+1)*0x9E3779B97F4A7C15
 		key := workload.StreamKey{Model: *model, Seed: seed, Horizon: cfg.Horizon}
 		jobs = cfg.Workloads.Jobs(key, func() []workload.Job {
 			return model.GenerateWindow(rng.New(seed), cfg.Horizon)
@@ -1024,11 +996,11 @@ func (e *engine) onStart(r *sched.Request) {
 // onStartLatent handles a start under a positive ControlLatency.
 // Cancels take the latency to arrive, so several copies can start
 // before hearing of each other; the winner is the lexicographically
-// least (start time, cluster index) start — the rule every shard can
-// apply locally — resolved finally at collect. Each winner-improving
-// start broadcasts cancels to the job's other target clusters. (A
-// non-improving start would only re-broadcast no-ops: the first
-// winner's cancels, sent no later, already covered every copy.)
+// least (start time, cluster index) start, resolved finally at
+// collect. Each winner-improving start broadcasts cancels to the job's
+// other target clusters. (A non-improving start would only re-broadcast
+// no-ops: the first winner's cancels, sent no later, already covered
+// every copy.)
 func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 	if w := gj.winner; w != nil {
 		if e.inj != nil {
@@ -1145,20 +1117,13 @@ func (e *engine) collect() (*Result, error) {
 			Stats: c.Stats(),
 		})
 	}
-	observeAll(&e.cfg, res)
-	return res, nil
-}
-
-// observeAll feeds every retained record to the configured Collector
-// (home clusters in ascending order, arrival order within each — the
-// order Jobs is assembled in) and applies DropRecords.
-func observeAll(cfg *Config, res *Result) {
-	if cfg.Collector != nil {
+	if e.cfg.Collector != nil {
 		for i := range res.Jobs {
-			cfg.Collector.Observe(&res.Jobs[i])
+			e.cfg.Collector.Observe(&res.Jobs[i])
 		}
 	}
-	if cfg.DropRecords {
+	if e.cfg.DropRecords {
 		res.Jobs = nil
 	}
+	return res, nil
 }

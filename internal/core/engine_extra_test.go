@@ -196,3 +196,64 @@ func TestTurnaroundAndWaitConsistency(t *testing.T) {
 		}
 	}
 }
+
+func TestOverrunsOnlyWithLatency(t *testing.T) {
+	cfg := smallConfig(4, SchemeAll)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overruns != (OverrunStats{}) {
+		t.Fatalf("zero-latency run reported overruns: %+v", res.Overruns)
+	}
+	// A latency much longer than typical waits forces late losers.
+	cfg.ControlLatency = 3600
+	lres, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lres.Overruns.Starts == 0 {
+		t.Fatal("hour-long cancel latency produced no overruns")
+	}
+	if lres.Overruns.CPUSeconds <= 0 {
+		t.Fatalf("overruns with non-positive CPU seconds: %+v", lres.Overruns)
+	}
+}
+
+// recordSink keeps a copy of every record a Collector observes.
+type recordSink []JobRecord
+
+func (s *recordSink) Observe(rec *JobRecord) { *s = append(*s, *rec) }
+
+// A Collector sees exactly Result.Jobs, in order, and DropRecords
+// then returns no records without changing what is observed.
+func TestCollectorObservesRetainedRecords(t *testing.T) {
+	cfg := smallConfig(5, SchemeR2)
+	cfg.ControlLatency = 15
+	retained, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink recordSink
+	cfg.Collector = &sink
+	cfg.DropRecords = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs != nil {
+		t.Fatalf("DropRecords retained %d records", len(res.Jobs))
+	}
+	if len(sink) != len(retained.Jobs) {
+		t.Fatalf("observed %d records, want %d", len(sink), len(retained.Jobs))
+	}
+	for i, want := range retained.Jobs {
+		got := sink[i]
+		if math.IsNaN(want.Predicted) && math.IsNaN(got.Predicted) {
+			want.Predicted, got.Predicted = 0, 0
+		}
+		if got != want {
+			t.Fatalf("record %d differs:\nretained: %+v\nobserved: %+v", i, want, got)
+		}
+	}
+}

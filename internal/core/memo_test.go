@@ -40,7 +40,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Alg":                   func(c *Config) { c.Alg = sched.CBF },
 		"Scheme":                func(c *Config) { c.Scheme = SchemeAll },
 		"RedundantFraction":     func(c *Config) { c.RedundantFraction = 0.5 },
-		"Selection":             func(c *Config) { c.Routing = RouteBiased },
+		"Routing":               func(c *Config) { c.Routing = RouteBiased },
 		"Seed":                  func(c *Config) { c.Seed = 8 },
 		"Horizon":               func(c *Config) { c.Horizon = 1800 },
 		"EstMode":               func(c *Config) { c.EstMode = workload.Phi },
@@ -55,6 +55,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"RuntimeScale":          func(c *Config) { c.RuntimeScale = 2 },
 		"MaxRuntime":            func(c *Config) { c.MaxRuntime = 3600 },
 		"StopAtHorizon":         func(c *Config) { c.StopAtHorizon = true },
+		"ControlLatency":        func(c *Config) { c.ControlLatency = 20 },
+		"Staleness":             func(c *Config) { c.Staleness = 300 },
+		"Ordering":              func(c *Config) { c.Ordering = sched.OrderSJF },
 		"Faults":                func(c *Config) { c.Faults = &fault.Plan{CancelLoss: 0.5} },
 		"Faults.Outages":        func(c *Config) { c.Faults = &fault.Plan{Outages: []fault.Outage{{Cluster: 0, Start: 1, End: 2}}} },
 	}
@@ -81,6 +84,33 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if cfg.Fingerprint() != fp {
 			t.Errorf("setting %s changed the fingerprint", name)
 		}
+	}
+}
+
+// TestFingerprintShardInvariance checks, on a latent-control config,
+// that the fingerprint ignores how records are delivered (Collector,
+// DropRecords) — the execution-side knobs that remain now that the
+// engine has a single code path and no shard count — while
+// ControlLatency, which changes what Run computes, changes it.
+func TestFingerprintShardInvariance(t *testing.T) {
+	cfg := smallConfig(4, SchemeR2)
+	cfg.ControlLatency = 10
+	base := cfg.Fingerprint()
+	var sink recordSink
+	for name, mutate := range map[string]func(*Config){
+		"Collector":   func(c *Config) { c.Collector = &sink },
+		"DropRecords": func(c *Config) { c.DropRecords = true },
+	} {
+		c := cfg
+		mutate(&c)
+		if c.Fingerprint() != base {
+			t.Fatalf("setting %s changed the fingerprint", name)
+		}
+	}
+	c := cfg
+	c.ControlLatency = 20
+	if c.Fingerprint() == base {
+		t.Fatal("ControlLatency did not change the fingerprint")
 	}
 }
 

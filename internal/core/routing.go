@@ -9,8 +9,7 @@
 // alternative the paper mentions (Section 3.3). Informed policies read
 // the grid information service (internal/gis) — periodic load
 // snapshots delayed by the control latency — rather than live cluster
-// state, so their information is honestly stale and their decisions
-// are shardable.
+// state, so their information is honestly stale.
 
 package core
 
@@ -45,20 +44,9 @@ const (
 	RoutePowerTwo
 )
 
-// Selection is the historical name of the Routing axis, kept as an
-// alias so pre-split call sites and serialized names keep working.
-type Selection = Routing
-
-// Legacy names of the pre-split Selection policies.
-const (
-	SelUniform  = RouteUniform
-	SelBiased   = RouteBiased
-	SelQueueLen = RouteLeastQueue
-)
-
 // Informed reports whether the policy reads cluster load — through
 // the grid information service, or live when the effective staleness
-// interval is zero (the pre-split omniscient SelQueueLen behavior).
+// interval is zero.
 func (r Routing) Informed() bool {
 	switch r {
 	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
@@ -84,8 +72,7 @@ func (r Routing) String() string {
 	}
 }
 
-// ParseRouting converts a policy name to a Routing. The pre-split
-// Selection names (uniform, biased, queuelen/queue) parse unchanged.
+// ParseRouting converts a policy name to a Routing.
 func ParseRouting(name string) (Routing, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "uniform":
@@ -101,9 +88,6 @@ func ParseRouting(name string) (Routing, error) {
 	}
 	return 0, fmt.Errorf("core: unknown routing policy %q", name)
 }
-
-// ParseSelection is the historical name of ParseRouting.
-func ParseSelection(name string) (Selection, error) { return ParseRouting(name) }
 
 // RoutingStats summarizes the load information consumed by a run's
 // routing decisions; all-zero under uninformed policies.
@@ -122,17 +106,12 @@ type RoutingStats struct {
 
 // loadView is what informed routing reads: either the grid information
 // service (snapshots delayed by the control latency) or — when the
-// effective staleness interval is zero — live cluster state, the
-// pre-split omniscient behavior that only the sequential engine can
-// provide. stats, when non-nil, accumulates RoutingStats; silent
-// suppresses them for draws replayed only to keep rng parity
-// (post-horizon arrivals in the sharded coordinator, which the
-// sequential engine never routes at all).
+// effective staleness interval is zero — live cluster state. stats,
+// when non-nil, accumulates RoutingStats.
 type loadView struct {
-	live   []*sched.Cluster
-	svc    *gis.Service
-	stats  *RoutingStats
-	silent bool
+	live  []*sched.Cluster
+	svc   *gis.Service
+	stats *RoutingStats
 }
 
 // look returns cluster c's queue length and queued work as visible at
@@ -143,9 +122,6 @@ func (v *loadView) look(c int, now float64) (qlen, work float64) {
 		return float64(cl.QueueLen()), cl.QueuedWork()
 	}
 	st := v.stats
-	if v.silent {
-		st = nil
-	}
 	snap, ok := v.svc.Visible(c, now)
 	if !ok {
 		if st != nil {
@@ -167,8 +143,8 @@ func (v *loadView) look(c int, now float64) (qlen, work float64) {
 // policies read view at virtual time now. Fewer than want indices are
 // returned when eligibility limits the choice. Rng consumption depends
 // only on the policy and the eligible set — never on what the view
-// returns — which is what lets the sharded coordinator replay draws
-// for post-horizon arrivals it then discards.
+// returns — so a run's later draws, and with them its output bytes,
+// do not shift with the load information a policy happens to see.
 func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
 	if want <= 0 {
 		return nil
@@ -205,7 +181,7 @@ func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, node
 		}
 		return picked
 	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
-		if view.stats != nil && !view.silent {
+		if view.stats != nil {
 			view.stats.Decisions++
 		}
 		// Read every eligible cluster's key before any draw, so the

@@ -119,7 +119,7 @@ func TestSelectBiasedWithoutReplacement(t *testing.T) {
 	}
 }
 
-// Live (zero-staleness) reads: the pre-split SelQueueLen behavior,
+// Live (zero-staleness) reads: the omniscient queue-length policy,
 // reading *sched.Cluster state directly.
 func TestSelectQueueLenPrefersShortQueuesLive(t *testing.T) {
 	sim := des.New()
@@ -266,20 +266,6 @@ func TestSelectSnapshotBlindAndAge(t *testing.T) {
 	}
 }
 
-// A silent view (post-horizon replay in the sharded coordinator)
-// consumes draws but records nothing.
-func TestSelectSilentViewRecordsNothing(t *testing.T) {
-	var stats RoutingStats
-	view := snapView([]int{1, 2, 3}, nil, &stats)
-	view.silent = true
-	specs := routeSpecs(8, 8, 8)
-	src := rng.New(12)
-	selectRemotes(src, RouteLeastQueue, specs, 0, 1, 1, view, 50)
-	if stats != (RoutingStats{}) {
-		t.Fatalf("silent read recorded stats %+v", stats)
-	}
-}
-
 func TestSelectNoEligible(t *testing.T) {
 	specs := routeSpecs(128, 16, 16)
 	src := rng.New(13)
@@ -330,10 +316,6 @@ func TestParseRouting(t *testing.T) {
 	}
 	if _, err := ParseRouting("zigzag"); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	// The legacy entry point still resolves the legacy names.
-	if got, err := ParseSelection("queuelen"); err != nil || got != SelQueueLen {
-		t.Errorf("ParseSelection(queuelen) = %v, %v", got, err)
 	}
 }
 

@@ -209,15 +209,8 @@ func TestLatentLedgerDetectsTampering(t *testing.T) {
 	wantFinding(t, FromConfig(&cfg), res, "ledger")
 }
 
-func TestShardInvarianceClean(t *testing.T) {
-	cfg := latentConfig()
-	if fs := CheckShardInvariance(cfg, []int{1, 2, 4, 8}); len(fs) != 0 {
-		t.Fatalf("sharded runs diverged from sequential:\n%v", fs)
-	}
-}
-
 // informedConfig routes over the grid information service: the
-// staleness audit and the routing-stats leg of the shard-invariance
+// staleness audit and the routing-stats leg of the determinism
 // comparison are only live under an informed policy.
 func informedConfig(pol core.Routing) core.Config {
 	cfg := latentConfig()
@@ -267,20 +260,4 @@ func TestDetectsMissingRedundantCopies(t *testing.T) {
 	res, ctx := cleanResult(t)
 	res.Jobs[0].Copies = 1
 	wantFinding(t, ctx, res, "eligibility", "ledger")
-}
-
-func TestShardInvarianceInformedRouting(t *testing.T) {
-	for _, pol := range []core.Routing{core.RouteLeastQueue, core.RouteLeastWork, core.RoutePowerTwo} {
-		if fs := CheckShardInvariance(informedConfig(pol), []int{2, 4}); len(fs) != 0 {
-			t.Fatalf("%v: sharded informed runs diverged from sequential:\n%v", pol, fs)
-		}
-	}
-}
-
-func TestShardedDeterminismClean(t *testing.T) {
-	cfg := latentConfig()
-	cfg.Shards = 4
-	if fs := CheckDeterminism(cfg); len(fs) != 0 {
-		t.Fatalf("sharded reruns diverged:\n%v", fs)
-	}
 }

@@ -7,6 +7,10 @@ package pbsd
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -164,4 +168,103 @@ func TestStatDuringChurn(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// cycleTrace is what one run of a submit/delete script leaves behind:
+// each operation's outcome with the queue after it, the order in which
+// jobs started (read back from the journal's R lines), and how many
+// submissions started past a blocked queue (backfills).
+type cycleTrace struct {
+	steps     []string
+	starts    []string
+	backfills int
+}
+
+// runCycleScript drives a fixed, seeded submit/delete script through
+// an executing daemon in the given cycle mode. Walltimes are whole
+// minutes of at least an hour, so no job completes while the script
+// runs and every backfill test (now+walltime before a start+walltime
+// shadow) is decided by the minutes, not by the few milliseconds the
+// script takes. One job in five is wide enough to block the queue.
+func runCycleScript(t *testing.T, fullScan bool) cycleTrace {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := New(Config{Nodes: 512, Execute: true, FullScanCycle: fullScan, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr cycleTrace
+	rnd := uint64(0x5eed)
+	next := func(n int) int { // xorshift: the same script in both modes
+		rnd ^= rnd << 13
+		rnd ^= rnd >> 7
+		rnd ^= rnd << 17
+		return int(rnd % uint64(n))
+	}
+	var ids []int64
+	for op := 0; op < 400; op++ {
+		var res string
+		submitted := int64(-1)
+		switch r := next(10); {
+		case r < 6 || len(ids) == 0:
+			nodes := 1 + next(16)
+			if next(5) == 0 {
+				nodes = 128 + next(384)
+			}
+			wall := time.Duration(60+next(600)) * time.Minute
+			id, err := s.Submit("j", nodes, wall)
+			ids = append(ids, id)
+			submitted = id
+			res = fmt.Sprintf("S %d %v -> %d %v", nodes, wall, id, err)
+		case r < 8:
+			id := ids[next(len(ids))]
+			res = fmt.Sprintf("D %d -> %v", id, s.Delete(id))
+		default:
+			id, err := s.DeleteHead()
+			res = fmt.Sprintf("H -> %d %v", id, err)
+		}
+		q, run, free := s.Stat()
+		pending := make([]int64, 0, q)
+		for _, j := range s.Pending() {
+			pending = append(pending, j.ID)
+		}
+		if submitted >= 0 && q > 0 && !slices.Contains(pending, submitted) {
+			tr.backfills++
+		}
+		tr.steps = append(tr.steps, fmt.Sprintf("%s | q=%d r=%d free=%d %v", res, q, run, free, pending))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(log), "\n") {
+		if strings.HasPrefix(line, "R ") {
+			tr.starts = append(tr.starts, line)
+		}
+	}
+	return tr
+}
+
+// TestCycleModesStartSameJobs is the differential test between the
+// paper-faithful full-scan cycle and the incremental fast path: the
+// same script must start the same jobs, in the same order, after the
+// same operations, and leave the same queue behind each one.
+func TestCycleModesStartSameJobs(t *testing.T) {
+	full := runCycleScript(t, true)
+	incr := runCycleScript(t, false)
+	if len(full.starts) < 20 || full.backfills == 0 {
+		t.Fatalf("script started %d jobs (%d backfills); too few to exercise both cycles",
+			len(full.starts), full.backfills)
+	}
+	for i := range full.steps {
+		if full.steps[i] != incr.steps[i] {
+			t.Fatalf("operation %d diverged:\nfull scan:   %s\nincremental: %s", i, full.steps[i], incr.steps[i])
+		}
+	}
+	if !slices.Equal(full.starts, incr.starts) {
+		t.Fatalf("start order diverged:\nfull scan:   %v\nincremental: %v", full.starts, incr.starts)
+	}
 }

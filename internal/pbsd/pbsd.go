@@ -87,13 +87,6 @@ type Config struct {
 	// Figure 5 harness disables execution and instead submits a
 	// blocker job that monopolizes the pool, as in the paper.
 	Execute bool
-	// PriorityQueueWeight and PrioritySizeWeight shape the Maui-like
-	// priority function: queue-time seconds plus weighted node count.
-	// The priority ordering is honored by the full-scan mode; the
-	// incremental mode schedules FCFS with backfill (identical under
-	// the default weights, where priority order equals queue order).
-	PriorityQueueWeight float64
-	PrioritySizeWeight  float64
 	// FullScanCycle selects the paper-faithful Maui-like scheduler:
 	// every queue-changing operation re-examines the whole pending
 	// queue, coupling per-operation cost to queue depth (the Figure 5
@@ -228,9 +221,6 @@ var ErrLate = errors.New("pbsd: queue delay exceeds admission budget")
 func New(cfg Config) (*Server, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("pbsd: need at least one node")
-	}
-	if cfg.PriorityQueueWeight == 0 {
-		cfg.PriorityQueueWeight = 1
 	}
 	if cfg.GroupCommit && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("pbsd: GroupCommit requires JournalDir")
@@ -590,11 +580,12 @@ func (s *Server) fullScan() {
 	if n > 0 {
 		now := time.Now()
 		// Refresh priorities (full scan, as Maui does each iteration).
+		// The priority is the job's queue age, so the sorted order is
+		// queue order and both cycle modes start the same jobs.
 		order := make([]*Job, 0, n)
 		for e := s.queue.Front(); e != nil; e = e.Next() {
 			j := e.Value.(*Job)
-			j.priority = s.cfg.PriorityQueueWeight*now.Sub(j.Submit).Seconds() +
-				s.cfg.PrioritySizeWeight*float64(j.Nodes)
+			j.priority = now.Sub(j.Submit).Seconds()
 			order = append(order, j)
 		}
 		sortByPriority(order)

@@ -1,10 +1,9 @@
 // Streaming, mergeable statistics: a log-bucketed quantile sketch and
 // a moment accumulator. They are the reduction side of the engine's
-// Collector interface — per-shard (or per-replication) sketches merge
-// into one summary without ever retaining the sample, and because the
-// sketch's state is integer bucket counts, merging is exactly
-// commutative and associative: any merge order yields bit-identical
-// quantiles, which is what lets sharded runs reduce deterministically.
+// Collector interface — per-replication sketches merge into one
+// summary without ever retaining the sample, and because the sketch's
+// state is integer bucket counts, merging is exactly commutative and
+// associative: any merge order yields bit-identical quantiles.
 
 package stats
 
@@ -128,8 +127,7 @@ func (s *Sketch) bucketValue(k int) float64 {
 // Moments accumulates count, sum, sum of squares, and extrema in O(1)
 // space. The zero value is ready to use. Sums are floating-point, so
 // unlike the Sketch a merge IS order-sensitive in the last ulps;
-// reductions that must be deterministic merge in a fixed order (see
-// metrics.DigestCollector).
+// reductions that must be deterministic merge in a fixed order.
 type Moments struct {
 	N      uint64
 	Sum    float64
